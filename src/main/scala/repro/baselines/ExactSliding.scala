@@ -6,9 +6,12 @@ import scala.collection.mutable.ArrayDeque
 /** Exact sliding-window quantiles (paper §5.1, policy (1)).
   *
   * Extends Algorithm 1 with deaccumulation: the window's values live in a
-  * frequency red-black tree; on expiry the expired value's node decrements
-  * its frequency and is deleted when it reaches zero. A ring buffer preserves
-  * arrival order so the oldest element is known at expiry time.
+  * [[FreqSketch]] frequency map (the paper's red-black tree, kept here as a
+  * primitive hash table with the same key equality and order); on expiry the
+  * expired value's frequency is decremented and its entry deleted when it
+  * reaches zero. The sorted view behind `evaluate` and `rankInterval` is built
+  * once per evaluation point, not per insert. A ring buffer preserves arrival
+  * order so the oldest element is known at expiry time.
   */
 final class ExactSliding(
     val windowSize: Long,

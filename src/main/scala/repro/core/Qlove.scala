@@ -5,8 +5,11 @@ import scala.collection.mutable.ArrayDeque
 /** QLOVE sliding-window quantile operator (paper §3 + §4).
   *
   * Two-level hierarchical processing: Level 1 runs a tumbling window of size
-  * `period` over quantized values in a [[FreqSketch]]; on each period boundary
-  * the sub-window is sealed into a [[SubWindowSummary]] and discarded. Level 2
+  * `period` over quantized values in a [[FreqSketch]] (a primitive hash table
+  * of {value -> count}, sorted once when the sub-window seals; it answers as
+  * the paper's red-black tree would); on each period boundary the sub-window
+  * is sealed into a [[SubWindowSummary]], whose tail pools are kept as the next
+  * seal's burst-test predecessor, and the sketch is cleared. Level 2
   * keeps the `n = windowSize / period` most recent summaries and maintains,
   * per φ, the incremental {sum, count} of sub-window quantiles — accumulating
   * the new summary and deaccumulating the expired one in O(l).
@@ -18,6 +21,9 @@ import scala.collection.mutable.ArrayDeque
   *                         `P(1-φ) < T_s` trigger is applied when building
   *                         the [[FewKConfig]]);
   *   3. Level-2 mean     — otherwise (the §3 estimator y_a = (1/n) Σ y_i).
+  *
+  * `quantizeDigits` is the number of significant digits kept per value; 0
+  * turns quantization off and negative values are rejected.
   */
 final class Qlove(
     val windowSize: Long,
@@ -28,6 +34,7 @@ final class Qlove(
 ) extends SlidingQuantilePolicy with Serializable {
   require(windowSize % period == 0, s"window $windowSize must be a multiple of period $period")
   require(cfg.phis.sameElements(phis), "FewKConfig must be built for the same φ set")
+  require(quantizeDigits >= 0, s"quantizeDigits must be >= 0 (0 = off), got $quantizeDigits")
 
   private val nSub = (windowSize / period).toInt
   private val inflight = new FreqSketch
@@ -44,9 +51,10 @@ final class Qlove(
   }
 
   private def sealSubWindow(): Unit = {
-    val s = SubWindowSummary.fromSketch(inflight, cfg, prevPools)
-    if (cfg.phis.indices.exists(cfg.sampleEnabled))
-      prevPools = SubWindowSummary.pools(inflight, cfg)
+    val (s, tails) = SubWindowSummary.seal(inflight, cfg, prevPools)
+    // only sampled φs are burst-tested; keep no other pool alive
+    prevPools = Array.tabulate(phis.length)(i =>
+      if (cfg.sampleEnabled(i)) tails(i) else Array.emptyDoubleArray)
     treePeak = inflight.observedSpace
     inflight.clear()
     summaries.append(s)

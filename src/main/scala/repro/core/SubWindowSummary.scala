@@ -29,28 +29,26 @@ object SubWindowSummary {
     * empty arrays for the first sub-window.
     */
   def fromSketch(sketch: FreqSketch, cfg: FewKConfig,
-                 prevPools: Array[Array[Double]]): SubWindowSummary = {
-    val phis = cfg.phis
-    val qs = sketch.computeResult(phis)
-    val topK = new Array[Array[Double]](phis.length)
-    val samples = new Array[Array[Double]](phis.length)
-    val bursty = new Array[Boolean](phis.length)
-    var i = 0
-    while (i < phis.length) {
-      val needPool = cfg.topEnabled(i) || cfg.sampleEnabled(i)
-      val pool: Array[Double] =
-        if (needPool) sketch.topValues(cfg.poolSize(i)) else Array.emptyDoubleArray
-      topK(i) =
-        if (cfg.topEnabled(i)) pool.take(math.min(cfg.topK(i), pool.length))
-        else Array.emptyDoubleArray
-      samples(i) =
-        if (cfg.sampleEnabled(i)) FewK.intervalSample(pool, cfg.sampleStep(i))
-        else Array.emptyDoubleArray
-      bursty(i) = cfg.sampleEnabled(i) && prevPools(i).nonEmpty &&
-        MannWhitney.isStochasticallyLarger(pool, prevPools(i), cfg.burstAlpha)
-      i += 1
+                 prevPools: Array[Array[Double]]): SubWindowSummary =
+    seal(sketch, cfg, prevPools)._1
+
+  /** [[fromSketch]] together with the sketch's per-φ tail pools (the `poolSize`
+    * largest values, descending, for every φ with few-k on), so the caller
+    * can keep them as the next sub-window's `prevPools` without a second pass.
+    */
+  def seal(sketch: FreqSketch, cfg: FewKConfig,
+           prevPools: Array[Array[Double]]): (SubWindowSummary, Array[Array[Double]]) = {
+    val tails = Array.tabulate(cfg.phis.length) { i =>
+      if (cfg.topEnabled(i) || cfg.sampleEnabled(i)) sketch.topValues(cfg.poolSize(i))
+      else Array.emptyDoubleArray
     }
-    SubWindowSummary(sketch.count, qs, topK, samples, bursty)
+    val bursty = Array.tabulate(cfg.phis.length) { i =>
+      cfg.sampleEnabled(i) && prevPools(i).nonEmpty &&
+        MannWhitney.isStochasticallyLarger(tails(i), prevPools(i), cfg.burstAlpha)
+    }
+    val summary = QloveEstimator.fromPools(sketch.count, sketch.computeResult(cfg.phis),
+      tails, bursty, cfg)
+    (summary, tails)
   }
 
   /** The per-φ tail pools of a sealed sketch (predecessor side of the next

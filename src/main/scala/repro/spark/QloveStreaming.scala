@@ -38,7 +38,7 @@ object QloveStreaming {
              windowSize: Long, period: Long, cfg: FewKConfig,
              quantizeDigits: Int = 3): Dataset[EvalEstimate] = {
     import spark.implicits._
-    // Java serialization: the state graph (Qlove -> java TreeMap / scala
+    // Java serialization: the state graph (Qlove -> FreqSketch / scala
     // ArrayDeque / mutable.TreeMap) is Serializable end-to-end, which Kryo's
     // field serializers are not able to reconstruct for scala.mutable.TreeMap.
     implicit val stateEnc = Encoders.javaSerialization[StreamQloveState]

@@ -102,6 +102,23 @@ class FreqSketchSpec extends AnyFunSuite {
     assert(s.computeResult(Array(0.5)).sameElements(Array(5.0)))
   }
 
+  test("Java serialization round-trip keeps every entry and stays usable") {
+    val s = sketchOf((1 to 500).map(i => (i % 97).toDouble) ++ Seq(-0.0, 0.0, Double.NaN))
+    val bytes = new java.io.ByteArrayOutputStream
+    val out = new java.io.ObjectOutputStream(bytes)
+    out.writeObject(s)
+    out.close()
+    val in = new java.io.ObjectInputStream(new java.io.ByteArrayInputStream(bytes.toByteArray))
+    val r = in.readObject().asInstanceOf[FreqSketch]
+    assert(r.count == s.count && r.uniqueCount == s.uniqueCount)
+    assert(r.entries.map { case (v, c) => (java.lang.Double.doubleToLongBits(v), c) }.toSeq ==
+      s.entries.map { case (v, c) => (java.lang.Double.doubleToLongBits(v), c) }.toSeq)
+    r.accumulate(1000.0)
+    r.deaccumulate(5.0)
+    assert(r.topValues(1)(0).isNaN)
+    assert(r.rankInterval(1000.0) == (r.count - 1, r.count - 1))
+  }
+
   test("heavy duplication keeps space near constant") {
     val s = new FreqSketch
     (1 to 100000).foreach(i => s.accumulate((i % 7).toDouble))

@@ -15,6 +15,11 @@ class QloveSpec extends AnyFunSuite {
       new Qlove(100, 50, phis, FewKConfig.disabled(Array(0.5))))
   }
 
+  test("rejects negative quantizeDigits") {
+    intercept[IllegalArgumentException](
+      new Qlove(100, 50, phis, FewKConfig.disabled(phis), quantizeDigits = -1))
+  }
+
   test("tumbling window (N = P) equals exact sub-window quantiles") {
     val rnd = new scala.util.Random(1)
     val q = new Qlove(1000, 1000, phis, FewKConfig.disabled(phis), quantizeDigits = 0)

@@ -34,6 +34,49 @@ class QuantizerSpec extends AnyFunSuite {
     assert(Quantizer.quantize(123456.0, 6) == 123456.0)
   }
 
+  /** The defining formula, computed per call with `log10` and `pow`. */
+  private def reference(v: Double, digits: Int): Double = {
+    if (v == 0.0 || v.isNaN || v.isInfinite) return v
+    val a = math.abs(v)
+    val exp = math.floor(math.log10(a)).toInt - (digits - 1)
+    val scale = math.pow(10.0, exp)
+    val q = math.rint(a / scale) * scale
+    if (v < 0) -q else q
+  }
+
+  private def assertBitIdentical(v: Double, digits: Int): Unit = {
+    val got = java.lang.Double.doubleToRawLongBits(Quantizer.quantize(v, digits))
+    val want = java.lang.Double.doubleToRawLongBits(reference(v, digits))
+    if (got != want) fail(s"v=$v (bits ${java.lang.Double.doubleToRawLongBits(v)}) digits=$digits: " +
+      s"${java.lang.Double.longBitsToDouble(got)} vs ${java.lang.Double.longBitsToDouble(want)}")
+  }
+
+  test("table-driven quantize is bit-identical to the log10/pow formula") {
+    val digitRange = 1 to 6
+    // +-64 ulps around every power of ten, both signs
+    for (k <- -320 to 308) {
+      val p = java.lang.Double.doubleToRawLongBits(java.lang.Double.parseDouble(s"1e$k"))
+      for (d <- -64L to 64L) {
+        val v = java.lang.Double.longBitsToDouble(p + d)
+        if (v > 0 && !v.isInfinite) digitRange.foreach { g =>
+          assertBitIdentical(v, g); assertBitIdentical(-v, g)
+        }
+      }
+    }
+    // subnormals, extremes, zeros and non-finite values
+    val rnd = new scala.util.Random(5)
+    val subnormals = (1L to 4096L) ++ Seq.fill(20000)(1L + rnd.nextLong(0x000FFFFFFFFFFFFFL)) ++
+      Seq(0x000FFFFFFFFFFFFFL)
+    val specials = subnormals.map(java.lang.Double.longBitsToDouble) ++ Seq(
+      Double.MinPositiveValue, java.lang.Double.MIN_NORMAL, Double.MaxValue, 0.0, -0.0,
+      Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity)
+    for (v <- specials; g <- digitRange) { assertBitIdentical(v, g); assertBitIdentical(-v, g) }
+    // random bit patterns
+    (0 until 1000000).foreach { i =>
+      assertBitIdentical(java.lang.Double.longBitsToDouble(rnd.nextLong()), 1 + i % 6)
+    }
+  }
+
   test("rejects non-positive digits") {
     intercept[IllegalArgumentException](Quantizer.quantize(1.0, 0))
   }

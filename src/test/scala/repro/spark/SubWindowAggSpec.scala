@@ -30,6 +30,10 @@ class SubWindowAggSpec extends SparkSpec {
       "events" -> ev)
   }
 
+  test("UDAF rejects negative quantizeDigits") {
+    intercept[IllegalArgumentException](new SubWindowAgg(phis, phis.map(_ => 0), -1))
+  }
+
   test("UDAF counts match DuckDB group counts (Oracle)") {
     val ev = events(3500)
     val agg = udaf(new SubWindowAgg(phis, phis.map(_ => 0), 0))
